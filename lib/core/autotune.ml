@@ -258,7 +258,9 @@ let eval (ctx : eval_ctx) (c : config) : status * Pipette.Analysis.report option
         None )
     else
       let run_one (inputs, (serial_fr : Phloem_ir.Interp.result)) =
-        let budget = max 2_000_000 (8 * serial_fr.Phloem_ir.Interp.r_instrs) in
+        let budget =
+          Search.profile_budget ~serial_instrs:serial_fr.Phloem_ir.Interp.r_instrs
+        in
         let fr =
           Phloem_ir.Interp.with_max_ops budget (fun () ->
               Pipette.Sim.functional ~inputs p)

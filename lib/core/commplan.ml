@@ -207,15 +207,7 @@ let analyze (ctx : Ctx.context) (d : decisions) =
       (fun node ->
         match node with
         | K.Kif (k, _, _, tb, fb) ->
-          let rec directly_breaks ns =
-            List.exists
-              (function
-                | K.Kstmt (_, (Break | Exit_loops _)) -> true
-                | K.Kstmt _ | K.Kwhile _ | K.Kfor _ -> false
-                | K.Kif (_, _, _, t, f) -> directly_breaks t || directly_breaks f)
-              ns
-          in
-          if directly_breaks tb || directly_breaks fb then (
+          if Ctx.directly_breaks tb || Ctx.directly_breaks fb then (
             match Hashtbl.find ctx.Ctx.parent_loops k with
             | l :: _ ->
               List.iter

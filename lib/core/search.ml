@@ -1,8 +1,9 @@
 (* Profile-guided pipeline search (paper Sec. V, Fig. 8): enumerate candidate
    pipelines from combinations of the top-ranked decoupling points, profile
    each on small training inputs, and keep the best. Candidates that the
-   decoupler rejects, that fail validation, or that compute a different
-   result from the serial version are discarded. *)
+   decoupler rejects, that fail validation, that spend their op budget or
+   fail in the queue network, or that compute a different result from the
+   serial version are discarded. *)
 
 open Phloem_ir.Types
 module Log = Phloem_util.Log
@@ -67,30 +68,56 @@ let enumerate_cut_sets ?(top_k = 6) ?(max_cuts = 3) (serial : pipeline) :
            true
          end)
 
-(* One training run: returns cycles if the pipeline runs and matches the
-   serial result on the checked arrays. Candidates that run away (e.g. an
-   inconsistent control-value protocol that spins forever) are killed by a
-   budget derived from the serial instruction count. *)
-let profile_one ~cfg ~check_arrays ~budget pipeline ~inputs ~serial_result =
-  (* the budget is domain-local, so concurrent candidates profiled by the
-     pool each get their own *)
-  let result =
-    Phloem_ir.Interp.with_max_ops budget (fun () ->
-        match Pipette.Sim.run ~cfg ~inputs pipeline with
-        | exception _ -> None
-        | r -> Some r)
+(* The op budget of one profiling run: generous next to the serial run's
+   instruction count, with a floor so tiny inputs still get room. A candidate
+   that runs away (e.g. an inconsistent control-value protocol that spins
+   forever) is killed when it is spent. *)
+let profile_budget ~serial_instrs = max 2_000_000 (8 * serial_instrs)
+
+(* Why a cut set was dropped from the search. *)
+type drop = Rejected | Invalid | Over_budget | Mismatch | Failed
+
+let drop_name = function
+  | Rejected -> "decoupler reject"
+  | Invalid -> "validation"
+  | Over_budget -> "op budget"
+  | Mismatch -> "result mismatch"
+  | Failed -> "pipeline failure"
+
+(* Compile and profile one cut set on every training input in order: each
+   run must finish within its [profile_budget] and match the serial result
+   on the checked arrays. The first input that drops the cut set ends its
+   profiling, so a doomed candidate costs one training run, not one per
+   input. *)
+let profile_cut_set ~flags ~cfg ~check_arrays cuts serial_runs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | (serial, inputs, (sr : Pipette.Sim.run)) :: rest -> (
+      let fr = sr.Pipette.Sim.sr_functional in
+      match Compile.with_cuts ~flags serial cuts with
+      | exception Decouple.Reject _ -> Error Rejected
+      | exception Phloem_ir.Validate.Invalid _ -> Error Invalid
+      | p -> (
+        (* the budget is domain-local, so concurrent candidates profiled by
+           the pool each get their own *)
+        let budget = profile_budget ~serial_instrs:fr.Phloem_ir.Interp.r_instrs in
+        match
+          Phloem_ir.Interp.with_max_ops budget (fun () -> Pipette.Sim.run ~cfg ~inputs p)
+        with
+        | exception Phloem_ir.Interp.Budget_exceeded -> Error Over_budget
+        | exception _ -> Error Failed
+        | r ->
+          let arrays = r.Pipette.Sim.sr_functional.Phloem_ir.Interp.r_arrays in
+          if
+            List.for_all
+              (fun name ->
+                List.assoc_opt name arrays
+                = List.assoc_opt name fr.Phloem_ir.Interp.r_arrays)
+              check_arrays
+          then go ((p, Pipette.Sim.cycles r) :: acc) rest
+          else Error Mismatch))
   in
-  match result with
-  | None -> None
-  | Some r ->
-    let ok =
-      List.for_all
-        (fun name ->
-          List.assoc_opt name r.Pipette.Sim.sr_functional.Phloem_ir.Interp.r_arrays
-          = List.assoc_opt name serial_result)
-        check_arrays
-    in
-    if ok then Some r else None
+  go [] serial_runs
 
 (* Profile-guided optimization over a list of training bindings.
    [training] supplies, per training input, the serial pipeline and its
@@ -121,29 +148,12 @@ let pgo ?(flags = Decouple.all_passes) ?(cfg = Pipette.Config.default) ?(top_k =
     let serial_cycles =
       List.map (fun (_, _, r) -> Pipette.Sim.cycles r) serial_runs
     in
-    let candidates =
+    let results =
       pmap
         (fun cuts ->
-          let runs =
-            List.map
-              (fun (serial, inputs, sr) ->
-                match Compile.with_cuts ~flags serial cuts with
-                | exception Decouple.Reject _ -> None
-                | exception Phloem_ir.Validate.Invalid _ -> None
-                | p ->
-                  let budget =
-                    max 2_000_000
-                      (8 * sr.Pipette.Sim.sr_functional.Phloem_ir.Interp.r_instrs)
-                  in
-                  Option.map
-                    (fun r -> (p, Pipette.Sim.cycles r))
-                    (profile_one ~cfg ~check_arrays ~budget p ~inputs
-                       ~serial_result:sr.Pipette.Sim.sr_functional.Phloem_ir.Interp.r_arrays))
-              serial_runs
-          in
-          if List.exists (fun r -> r = None) runs then None
-          else
-            let runs = List.filter_map Fun.id runs in
+          match profile_cut_set ~flags ~cfg ~check_arrays cuts serial_runs with
+          | Error d -> Error d
+          | Ok runs ->
             let cycles = List.map snd runs in
             let stages =
               match runs with
@@ -160,7 +170,7 @@ let pgo ?(flags = Decouple.all_passes) ?(cfg = Pipette.Config.default) ?(top_k =
                     (fun (c : Costmodel.cut) -> string_of_int (List.hd c.cut_loads))
                     cuts))
               stages gmean;
-            Some
+            Ok
               {
                 ca_cuts = cuts;
                 ca_stages = stages;
@@ -169,7 +179,20 @@ let pgo ?(flags = Decouple.all_passes) ?(cfg = Pipette.Config.default) ?(top_k =
                 ca_gmean = gmean;
               })
         cut_sets
-      |> List.filter_map Fun.id
+    in
+    let candidates = List.filter_map Result.to_option results in
+    let drops = List.filter_map (function Error d -> Some d | Ok _ -> None) results in
+    let dropped =
+      match
+        List.filter_map
+          (fun d ->
+            match List.length (List.filter (( = ) d) drops) with
+            | 0 -> None
+            | n -> Some (Printf.sprintf "%d %s" n (drop_name d)))
+          [ Rejected; Invalid; Over_budget; Mismatch; Failed ]
+      with
+      | [] -> "none"
+      | l -> String.concat ", " l
     in
     (match candidates with
     | [] ->
@@ -177,9 +200,9 @@ let pgo ?(flags = Decouple.all_passes) ?(cfg = Pipette.Config.default) ?(top_k =
          recipe instead of aborting the whole sweep — downstream consumers
          treat [best = []] as "run serial". *)
       Log.warn ~component:"search"
-        "pgo: no legal candidate pipelines among %d cut sets; falling back \
-         to the serial (no-cut) configuration"
-        (List.length cut_sets);
+        "pgo: no legal candidate pipelines among %d cut sets (dropped: %s); \
+         falling back to the serial (no-cut) configuration"
+        (List.length cut_sets) dropped;
       { best = []; all = []; serial_cycles }
     | _ ->
       let best =
@@ -187,6 +210,7 @@ let pgo ?(flags = Decouple.all_passes) ?(cfg = Pipette.Config.default) ?(top_k =
           (fun acc c -> if c.ca_gmean > acc.ca_gmean then c else acc)
           (List.hd candidates) (List.tl candidates)
       in
-      Log.info ~component:"search" "pgo: best of %d legal candidates has gmean %.3f"
-        (List.length candidates) best.ca_gmean;
+      Log.info ~component:"search"
+        "pgo: best of %d legal candidates has gmean %.3f (dropped: %s)"
+        (List.length candidates) best.ca_gmean dropped;
       { best = best.ca_cuts; all = candidates; serial_cycles })

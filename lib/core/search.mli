@@ -4,10 +4,16 @@
     paper reports "no fewer than fifty" candidates per benchmark at four
     threads; [top_k]/[max_cuts] control the space here.
 
-    A candidate is discarded when the decoupler rejects its cuts, when the
-    generated pipeline fails validation, or when its simulated result
-    differs from the serial run on the checked arrays (this is also what
-    catches decouplings that would race). *)
+    A candidate is discarded when the decoupler rejects its cuts (among
+    them a merge cursor read outside the stage that updates it, see
+    {!Stage_assign.def_stage_of}), when the generated pipeline fails
+    validation, when a training run spends its {!profile_budget}, when the
+    queue network fails, or when its simulated result differs from the
+    serial run on the checked arrays (this is also what catches
+    decouplings that would race). Training inputs are profiled in order
+    and a candidate is dropped at its first failing input, so the later
+    inputs never run it. The info log line reports the drop counts by
+    reason. *)
 
 type candidate = {
   ca_cuts : Costmodel.cut list;  (** in program order *)
@@ -27,6 +33,11 @@ val cut_set_key : Costmodel.cut list -> string
 (** Canonical hex digest of a cut set: insensitive to list order and to
     the float ranking score. Two sets share a key exactly when they
     decouple the program identically. *)
+
+val profile_budget : serial_instrs:int -> int
+(** Op budget of one profiling run of a candidate ([Phloem_ir.Interp]
+    ops), from the serial run's instruction count on the same input:
+    [max 2_000_000 (8 * serial_instrs)]. Shared with the autotuner. *)
 
 val enumerate_cut_sets :
   ?top_k:int -> ?max_cuts:int -> Phloem_ir.Types.pipeline -> Costmodel.cut list list

@@ -256,11 +256,77 @@ let def_keys_of ctx x = try Hashtbl.find ctx.def_keys x with Not_found -> []
 let nonrep_defs ctx x =
   List.filter (fun k -> not (Hashtbl.mem ctx.replicated_keys k)) (def_keys_of ctx x)
 
+(* Does a block break out of its enclosing loop without entering a nested
+   loop? *)
+let rec directly_breaks ns =
+  List.exists
+    (function
+      | K.Kstmt (_, (Break | Exit_loops _)) -> true
+      | K.Kstmt _ | K.Kwhile _ | K.Kfor _ -> false
+      | K.Kif (_, _, _, t, f) -> directly_breaks t || directly_breaks f)
+    ns
+
+(* Stages whose copy of a control node evaluates its condition: every stage
+   with a statement (or a prefetch) beneath it, and for an If that directly
+   breaks its loop, every stage with the loop (Commplan replicates such Ifs
+   into all of them). *)
+let control_stages ctx node =
+  let below n =
+    let acc = ref [] in
+    K.iter
+      (function
+        | K.Kstmt (k, _) ->
+          acc := ctx.stage_of.(k) :: !acc;
+          Option.iter (fun p -> acc := p :: !acc) (Hashtbl.find_opt ctx.prefetch_from k)
+        | K.Kif _ | K.Kwhile _ | K.Kfor _ -> ())
+      n;
+    !acc
+  in
+  let scope =
+    match node with
+    | K.Kif (k, _, _, t, f) when directly_breaks t || directly_breaks f -> (
+      match Hashtbl.find ctx.parent_loops k with
+      | l :: _ -> Option.value ctx.key_node.(l) ~default:node
+      | [] -> node)
+    | _ -> node
+  in
+  List.sort_uniq compare (below scope)
+
+(* A stage other than [u] that reads x inside a loop enclosing one of x's
+   stage-[u] defs, through a statement or through the condition of its
+   replicated copy of a loop/If; [None] when only [u] reads it there. *)
+let stale_reader ctx x ~u =
+  let loops =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun k -> if ctx.stage_of.(k) = u then Hashtbl.find ctx.parent_loops k else [])
+         (nonrep_defs ctx x))
+  in
+  let found = ref None in
+  let note s = if s <> u && !found = None then found := Some s in
+  List.iter
+    (fun l ->
+      Option.iter
+        (K.iter (fun node ->
+             match node with
+             | K.Kstmt (k, stmt) ->
+               if List.mem x (K.stmt_uses stmt) then note ctx.stage_of.(k)
+             | K.Kif _ | K.Kwhile _ | K.Kfor _ ->
+               if List.mem x (node_cond_vars node) then
+                 List.iter note (control_stages ctx node)))
+        ctx.key_node.(l))
+    loops;
+  !found
+
 (* The stage that produces x for communication purposes. Normally all
-   non-replicated defs live in one stage. A cursor initialized by a cut load
-   in an early stage and updated locally by one later stage (SpMM's merge
-   indices) is also fine: the early defs are communicated, the later ones
-   are local. Anything else is rejected. *)
+   non-replicated defs live in one stage. The one exception is a cursor
+   (SpMM's merge indices): defs in an early stage t that are all cut-head
+   loads, communicated, plus updates in one later stage u, kept local. The
+   updates never flow back, so the exception holds only while every read of
+   x inside a loop enclosing a stage-u def is in u itself; a statement or a
+   replicated loop/If condition in any other stage would keep reading the
+   stale value, and such a pipeline spins until the op budget kills it.
+   Anything else is rejected. *)
 let def_stage_of ctx x =
   match nonrep_defs ctx x with
   | [] -> None
@@ -270,7 +336,12 @@ let def_stage_of ctx x =
     | [ s ] -> Some s
     | [ t; u ] when t < u ->
       let early_defs = List.filter (fun k -> ctx.stage_of.(k) = t) ks in
-      if List.for_all (fun k -> Hashtbl.mem ctx.cut_head_keys k) early_defs then Some t
+      if List.for_all (fun k -> Hashtbl.mem ctx.cut_head_keys k) early_defs then
+        match stale_reader ctx x ~u with
+        | None -> Some t
+        | Some s ->
+          Pass.reject "cursor %s is updated in stage %d but stage %d reads it in the same loop"
+            x u s
       else
         Pass.reject "variable %s is defined in multiple stages %s" x
           (String.concat "," (List.map string_of_int stages))

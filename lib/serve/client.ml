@@ -24,19 +24,35 @@ let send_line fd line =
   loop 0
 
 (* One response line, without its newline. @raise End_of_file if the
-   daemon hangs up first. *)
+   daemon hangs up first. Peeks up to [chunk] bytes, then reads exactly
+   through the newline, so no byte of a following line is consumed and the
+   fd needs no buffer of its own. *)
+let chunk = 65536
+
 let recv_line fd =
   let buf = Buffer.create 1024 in
-  let b = Bytes.create 1 in
+  let b = Bytes.create chunk in
+  let rec take n =
+    (* the [n] bytes are already queued on the socket *)
+    if n > 0 then begin
+      match Unix.read fd b 0 n with
+      | 0 -> raise End_of_file
+      | got ->
+        Buffer.add_subbytes buf b 0 got;
+        take (n - got)
+    end
+  in
   let rec loop () =
-    match Unix.read fd b 0 1 with
+    match Unix.recv fd b 0 chunk [ Unix.MSG_PEEK ] with
     | 0 -> if Buffer.length buf = 0 then raise End_of_file else Buffer.contents buf
-    | _ ->
-      if Bytes.get b 0 = '\n' then Buffer.contents buf
-      else begin
-        Buffer.add_char buf (Bytes.get b 0);
-        loop ()
-      end
+    | n -> (
+      match Bytes.index_from_opt b 0 '\n' with
+      | Some i when i < n ->
+        take (i + 1);
+        Buffer.sub buf 0 (Buffer.length buf - 1)
+      | _ ->
+        take n;
+        loop ())
   in
   loop ()
 

@@ -11,7 +11,9 @@ val send_line : Unix.file_descr -> string -> unit
 (** Write one line (the newline is appended). *)
 
 val recv_line : Unix.file_descr -> string
-(** Read one response line, newline stripped.
+(** Read one response line, newline stripped. [fd] must be a socket: the
+    line is found with [MSG_PEEK] reads of up to 64 KiB and then consumed
+    exactly through its newline, so bytes of a following line stay queued.
     @raise End_of_file if the peer hangs up first. *)
 
 val request : Unix.file_descr -> string -> string

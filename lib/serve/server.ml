@@ -229,6 +229,10 @@ let job_label (job : Protocol.job) =
   Printf.sprintf "%s/%s/%s" job.Protocol.j_bench job.Protocol.j_variant
     job.Protocol.j_input
 
+(* Observation closes before the response is released: the "respond" span
+   covers building the envelope, and the request is counted before its
+   bytes are written, so a client holding the response already sees it in
+   the metrics and spans. *)
 let respond_result t (en : entry) (r : (string, Phloem_util.Pool.error) result) =
   let obs = t.t_opts.so_obs in
   let respond f =
@@ -237,40 +241,38 @@ let respond_result t (en : entry) (r : (string, Phloem_util.Pool.error) result) 
     | Some o ->
       Obs.span o ~trace:en.en_trace ~track:"dispatcher" ~name:"respond" f
   in
-  (match r with
-  | Ok payload ->
-    Cache.add t.t_cache en.en_key payload;
-    Atomic.incr t.t_ok;
-    respond (fun () ->
-        send t en.en_client
-          (Protocol.ok_response ~id:en.en_id ~cached:false payload))
-  | Error { Phloem_util.Pool.e_exn = Phloem_ir.Forensics.Pipeline_failure fr; _ }
-    ->
+  let error () =
     Atomic.incr t.t_errors;
-    Option.iter Obs.on_error obs;
-    respond (fun () ->
-        send t en.en_client
-          (Protocol.error_response ~id:en.en_id ~code:(failure_code fr)
-             ~failure:(Pipette.Analysis.json_of_failure fr)
-             "pipeline failed; see the structured forensics report"))
-  | Error { Phloem_util.Pool.e_exn = Jobs.Bad_job msg; _ } ->
-    Atomic.incr t.t_errors;
-    Option.iter Obs.on_error obs;
-    respond (fun () ->
-        send t en.en_client
-          (Protocol.error_response ~id:en.en_id ~code:"bad-job" msg))
-  | Error { Phloem_util.Pool.e_exn; _ } ->
-    Atomic.incr t.t_errors;
-    Option.iter Obs.on_error obs;
-    respond (fun () ->
-        send t en.en_client
-          (Protocol.error_response ~id:en.en_id ~code:"job-failed"
-             (Printexc.to_string e_exn))));
-  match obs with
+    Option.iter Obs.on_error obs
+  in
+  let response =
+    match r with
+    | Ok payload ->
+      Cache.add t.t_cache en.en_key payload;
+      Atomic.incr t.t_ok;
+      respond (fun () -> Protocol.ok_response ~id:en.en_id ~cached:false payload)
+    | Error { Phloem_util.Pool.e_exn = Phloem_ir.Forensics.Pipeline_failure fr; _ }
+      ->
+      error ();
+      respond (fun () ->
+          Protocol.error_response ~id:en.en_id ~code:(failure_code fr)
+            ~failure:(Pipette.Analysis.json_of_failure fr)
+            "pipeline failed; see the structured forensics report")
+    | Error { Phloem_util.Pool.e_exn = Jobs.Bad_job msg; _ } ->
+      error ();
+      respond (fun () -> Protocol.error_response ~id:en.en_id ~code:"bad-job" msg)
+    | Error { Phloem_util.Pool.e_exn; _ } ->
+      error ();
+      respond (fun () ->
+          Protocol.error_response ~id:en.en_id ~code:"job-failed"
+            (Printexc.to_string e_exn))
+  in
+  (match obs with
   | None -> ()
   | Some o ->
     Obs.finish_request o ~trace:en.en_trace ~hit:false ~start:en.en_t0
-      ~label:(job_label en.en_job)
+      ~label:(job_label en.en_job));
+  send t en.en_client response
 
 let dispatcher_loop t =
   let obs = t.t_opts.so_obs in
@@ -345,8 +347,11 @@ let handle_request t (c : client) (line : string) =
                 (Json.to_string (stats_json t)))
   | Ok (Protocol.Shutdown { id }) ->
     Atomic.incr t.t_ok;
-    send t c (Protocol.ok_response ~id ~cached:false "\"shutting-down\"");
-    stop t
+    (* stop before acknowledging, so a client that reads the ack sees the
+       daemon stopped; [stop] leaves client connections open until the
+       drain, so the ack still goes out *)
+    stop t;
+    send t c (Protocol.ok_response ~id ~cached:false "\"shutting-down\"")
   | Ok (Protocol.Simulate { id; job }) -> (
     let key = Protocol.content_key job in
     match reader_span "cache-lookup" (fun () -> Cache.find t.t_cache key) with
@@ -354,12 +359,15 @@ let handle_request t (c : client) (line : string) =
       (* content-addressed hit: answered on the reader thread, O(lookup),
          byte-identical to the cold response that filled the entry *)
       Atomic.incr t.t_ok;
-      reader_span "respond" (fun () ->
-          send t c (Protocol.ok_response ~id ~cached:true payload));
+      let response =
+        reader_span "respond" (fun () -> Protocol.ok_response ~id ~cached:true payload)
+      in
+      (* counted before release, as in [respond_result] *)
       (match obs with
       | None -> ()
       | Some o ->
-        Obs.finish_request o ~trace ~hit:true ~start:t0 ~label:(job_label job))
+        Obs.finish_request o ~trace ~hit:true ~start:t0 ~label:(job_label job));
+      send t c response
     | None -> (
       match
         Scheduler.submit t.t_sched ~client:c.c_id

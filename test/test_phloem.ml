@@ -161,6 +161,183 @@ let test_spmm_rejects_merge_cuts () =
   | _ -> Alcotest.fail "expected the merge-loop cut to be rejected"
   | exception Decouple.Reject _ -> ()
 
+(* SpMM's merge cursors i1/j1 are loaded by cut heads and advanced inside the
+   merge loop. Cutting the loop itself leaves an earlier stage reading a
+   cursor that only the last stage advances, so the stale-cursor rule must
+   reject these sets; keeping the whole merge loop in one stage is legal. *)
+let spmm_small () =
+  let a = Phloem_sparse.Gen.power_law ~rows:12 ~cols:12 ~nnz_per_row:8 ~seed:7 in
+  Phloem_workloads.Spmm.bind a (Phloem_sparse.Csr_matrix.transpose a)
+
+let cut_of serial loads =
+  List.find
+    (fun (c : Costmodel.cut) -> c.cut_loads = loads && not c.cut_prefetch)
+    (Compile.candidates serial)
+
+let test_spmm_stale_cursor_rejected () =
+  let serial = fst (spmm_small ()).Phloem_workloads.Workload.b_serial in
+  let cut = cut_of serial in
+  List.iter
+    (fun k ->
+      match Compile.with_cuts serial [ cut [ 0; 1 ]; cut [ 2; 3 ]; cut [ k ] ] with
+      | _ -> Alcotest.failf "{[0,1],[2,3],[%d]} should be rejected" k
+      | exception Decouple.Reject msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "message names the cursor: %s" msg)
+          true
+          (Str.string_match (Str.regexp "cursor \\(i1\\|j1\\) ") msg 0))
+    [ 4; 5; 6; 7 ];
+  List.iter
+    (fun cuts -> ignore (Compile.with_cuts serial cuts))
+    [ [ cut [ 0; 1 ]; cut [ 2; 3 ] ]; [ cut [ 0; 1 ] ] ]
+
+(* Every cut set the decoupler accepts finishes its training runs within the
+   profiling budget: a pipeline that spins is a decoupling the compiler
+   should have rejected. *)
+let test_accepted_pipelines_finish () =
+  let open Phloem_workloads in
+  let graphs =
+    [
+      Phloem_graph.Gen.grid ~width:12 ~height:10 ~seed:4;
+      Phloem_graph.Gen.rmat ~scale:7 ~edge_factor:2 ~seed:5;
+    ]
+  in
+  let benches =
+    [
+      ("BFS", List.map Bfs.bind graphs);
+      ("CC", List.map Cc.bind graphs);
+      ("PRD", List.map Prd.bind graphs);
+      ("Radii", List.map Radii.bind graphs);
+      ("SpMM", [ spmm_small () ]);
+    ]
+  in
+  List.iter
+    (fun (name, bounds) ->
+      let serial0 = fst (List.hd bounds).Workload.b_serial in
+      let runs =
+        List.map
+          (fun (b : Workload.bound) ->
+            let serial, inputs = b.Workload.b_serial in
+            let r = Pipette.Sim.run ~inputs serial in
+            (serial, inputs, r.Pipette.Sim.sr_functional.Phloem_ir.Interp.r_instrs))
+          bounds
+      in
+      List.iter
+        (fun cuts ->
+          List.iter
+            (fun (serial, inputs, serial_instrs) ->
+              match Compile.with_cuts serial cuts with
+              | exception (Decouple.Reject _ | Phloem_ir.Validate.Invalid _) -> ()
+              | p -> (
+                match
+                  Phloem_ir.Interp.with_max_ops
+                    (Search.profile_budget ~serial_instrs)
+                    (fun () -> Pipette.Sim.run ~inputs p)
+                with
+                | exception Phloem_ir.Interp.Budget_exceeded ->
+                  Alcotest.failf "%s: accepted cut set %s exceeds the profiling budget"
+                    name (Search.cut_set_key cuts)
+                | exception _ -> () (* runtime failures are profiling's to drop *)
+                | _ -> ()))
+            runs)
+        (Search.enumerate_cut_sets serial0))
+    benches
+
+(* [Search.pgo]'s outcome must not depend on how early doomed candidates
+   are dropped: these values were recorded before the stale-cursor rule and
+   the first-failure exit existed. *)
+let cuts_label cuts =
+  String.concat ";"
+    (List.map
+       (fun (c : Costmodel.cut) ->
+         Printf.sprintf "[%s]%s"
+           (String.concat "," (List.map string_of_int c.cut_loads))
+           (if c.cut_prefetch then "p" else ""))
+       cuts)
+
+let check_outcome name (o : Search.outcome) ~best ~all =
+  Alcotest.(check string) (name ^ " best") best (cuts_label o.Search.best);
+  Alcotest.(check (list (pair string (list int))))
+    (name ^ " all")
+    all
+    (List.map (fun c -> (cuts_label c.Search.ca_cuts, c.Search.ca_cycles)) o.Search.all)
+
+let test_pgo_outcome_pinned () =
+  check_outcome "SpMM"
+    (Phloem_harness.Runner.pgo_cuts [ spmm_small () ])
+    ~best:"[0,1];[2,3]"
+    ~all:[ ("[0,1];[2,3]", [ 14571 ]); ("[0,1]", [ 16177 ]) ];
+  let g1 = Phloem_graph.Gen.grid ~width:10 ~height:8 ~seed:7 in
+  let g2 = Phloem_graph.Gen.rmat ~scale:7 ~edge_factor:2 ~seed:8 in
+  check_outcome "Radii"
+    (Phloem_harness.Runner.pgo_cuts
+       [ Phloem_workloads.Radii.bind g1; Phloem_workloads.Radii.bind g2 ])
+    ~best:"[2,3];[4]"
+    ~all:
+      [
+        ("[2,3];[4];[5]p", [ 13634; 13723 ]);
+        ("[1];[4];[5]p", [ 14691; 14823 ]);
+        ("[4];[5]p;[6]", [ 15291; 15715 ]);
+        ("[4];[5]p", [ 14385; 15012 ]);
+        ("[1];[2,3];[5]p", [ 14836; 14410 ]);
+        ("[2,3];[5]p;[6]", [ 15559; 14977 ]);
+        ("[2,3];[5]p", [ 14797; 14115 ]);
+        ("[1];[5]p;[6]", [ 16318; 15638 ]);
+        ("[1];[5]p", [ 15657; 14941 ]);
+        ("[5]p;[6]", [ 16696; 15963 ]);
+        ("[5]p", [ 15897; 15575 ]);
+        ("[1];[2,3];[4]", [ 13570; 13748 ]);
+        ("[2,3];[4];[6]", [ 15027; 14415 ]);
+        ("[2,3];[4]", [ 12956; 13366 ]);
+        ("[1];[4];[6]", [ 15435; 15299 ]);
+        ("[1];[4]", [ 14668; 14603 ]);
+        ("[4];[6]", [ 15755; 15514 ]);
+        ("[4]", [ 14667; 15055 ]);
+        ("[1];[2,3];[6]", [ 21748; 20659 ]);
+        ("[1];[2,3]", [ 18798; 18600 ]);
+        ("[2,3];[6]", [ 21685; 20553 ]);
+        ("[2,3]", [ 18532; 18491 ]);
+        ("[1];[6]", [ 23078; 21684 ]);
+        ("[1]", [ 19982; 19698 ]);
+      ]
+
+(* A candidate dropped on the first training input never runs on the second.
+   Every profiling run is one functional-trace lookup, so with two inputs the
+   lookups are those of the first input alone, plus the second input's
+   serial run, plus one run per candidate that survived the first input. *)
+let test_pgo_stops_at_first_failure () =
+  let open Phloem_workloads in
+  let b1 = Radii.bind (Phloem_graph.Gen.grid ~width:10 ~height:8 ~seed:7) in
+  let b2 = Radii.bind (Phloem_graph.Gen.rmat ~scale:7 ~edge_factor:2 ~seed:8) in
+  let lookups bounds =
+    Pipette.Sim.clear_caches ();
+    let o = Phloem_harness.Runner.pgo_cuts bounds in
+    let c = Pipette.Sim.cache_counters () in
+    (o, c.Pipette.Sim.cc_trace_hits + c.Pipette.Sim.cc_trace_misses)
+  in
+  let was = Pipette.Sim.cache_enabled () in
+  Pipette.Sim.set_cache_enabled true;
+  let (first, n1), (_, n2) =
+    Fun.protect
+      ~finally:(fun () -> Pipette.Sim.set_cache_enabled was)
+      (fun () ->
+        let one = lookups [ b1 ] in
+        (one, lookups [ b1; b2 ]))
+  in
+  let serial1 = fst b1.Workload.b_serial in
+  let compiled =
+    List.filter
+      (fun cuts ->
+        match Compile.with_cuts serial1 cuts with
+        | _ -> true
+        | exception (Decouple.Reject _ | Phloem_ir.Validate.Invalid _) -> false)
+      (Search.enumerate_cut_sets serial1)
+  in
+  let survivors = List.length first.Search.all in
+  Alcotest.(check bool) "some compiled candidate fails on input 1" true
+    (survivors < List.length compiled);
+  Alcotest.(check int) "input 2 runs only the survivors of input 1" (n1 + 1 + survivors) n2
+
 (* --- search --- *)
 
 let test_search_finds_candidates () =
@@ -311,6 +488,13 @@ let suite =
     Alcotest.test_case "pass gates all correct" `Quick test_pass_gates_monotone;
     Alcotest.test_case "prefetch cut keeps RMW together" `Quick test_prefetch_cut_for_rmw_array;
     Alcotest.test_case "SpMM merge cuts rejected" `Quick test_spmm_rejects_merge_cuts;
+    Alcotest.test_case "SpMM stale-cursor cuts rejected" `Quick
+      test_spmm_stale_cursor_rejected;
+    Alcotest.test_case "accepted pipelines finish in budget" `Quick
+      test_accepted_pipelines_finish;
+    Alcotest.test_case "pgo outcome pinned" `Quick test_pgo_outcome_pinned;
+    Alcotest.test_case "pgo stops at first failing input" `Quick
+      test_pgo_stops_at_first_failure;
     Alcotest.test_case "search finds candidates" `Quick test_search_finds_candidates;
     Alcotest.test_case "search best is max" `Quick test_search_best_is_max;
     Alcotest.test_case "replicate independent" `Quick test_replicate_independent;

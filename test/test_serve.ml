@@ -572,6 +572,34 @@ let test_e2e_observability () =
           | None -> Alcotest.fail "scheduler stats need queue_wait_total_s")
         | None -> Alcotest.fail "stats payload needs a scheduler section"))
 
+(* --- client -------------------------------------------------------------- *)
+
+(* A response line longer than one 64 KiB peek, then two lines that arrive
+   in a single write: each recv_line returns exactly one line and leaves
+   the next one queued. *)
+let test_client_recv_line () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let long = String.init 150_000 (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+  let writer =
+    Thread.create
+      (fun () ->
+        Client.send_line a long;
+        Client.send_line a "first\nsecond";
+        Unix.close a)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join writer;
+      Unix.close b)
+    (fun () ->
+      Alcotest.(check int) "long line length" (String.length long)
+        (String.length (Client.recv_line b));
+      Alcotest.(check string) "first of two" "first" (Client.recv_line b);
+      Alcotest.(check string) "second of two" "second" (Client.recv_line b);
+      Alcotest.check_raises "hang-up" End_of_file (fun () ->
+          ignore (Client.recv_line b)))
+
 let test_e2e_shutdown_request () =
   with_server (fun sock server ->
       let resp =
@@ -621,6 +649,11 @@ let () =
         ] );
       ( "harness",
         [ Alcotest.test_case "rate guards" `Quick test_phases_guards ] );
+      ( "client",
+        [
+          Alcotest.test_case "recv_line long and back-to-back lines" `Quick
+            test_client_recv_line;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "cache hit is byte-identical" `Quick
